@@ -27,6 +27,15 @@ trait PreparedMips extends Serializable {
   /** True if the strategy only pays off on batches (RECOPT then skips the
     * per-user t-test and times the full sample, per §4.1). */
   def batchOnly: Boolean = false
+
+  /** Binds this strategy to one fixed user matrix. By default that costs
+    * nothing and each subset is served by `queryBatch` on the selected rows;
+    * RECDEX overrides it with its user-side index build (k-means plus the
+    * per-cluster sorted lists), the construction cost C_I of §4.2. */
+  def buildUserIndex(users: Matrix): UserIndex = new UserIndex {
+    override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] =
+      queryBatch(users.selectRows(rows), k)
+  }
 }
 
 /** A MIPS serving strategy: builds a [[PreparedMips]] from the item matrix.
@@ -39,21 +48,9 @@ trait MipsSolver extends Serializable {
   def prepare(items: Matrix): PreparedMips
 }
 
-/** A strategy whose index is built over the *query users* as well as the
-  * items (RECDEX: k-means over users + per-cluster sorted lists). RECOPT
-  * builds the user index once over the full population (construction cost),
-  * then times only the walk on a sample — matching the paper's C_I/Q_I
-  * accounting. */
-trait UserIndexedMips { this: PreparedMips =>
-  def buildUserIndex(users: Matrix): UserIndex
-}
-
 /** A user-side index built for one fixed user matrix. */
 trait UserIndex extends Serializable {
   /** Exact top-K for a subset of the indexed users; result i corresponds to
     * `rows(i)` (row indices into the matrix the index was built over). */
   def querySubset(rows: Array[Int], k: Int): Array[TopKResult]
-
-  /** Exact top-K for every indexed user, row-aligned with the build matrix. */
-  def queryAll(k: Int): Array[TopKResult]
 }

@@ -5,7 +5,7 @@ import repro.core._
 
 /** RECDEX — the paper's hardware-friendly exact MIPS index (§5).
   *
-  * Construction (Algorithm 1, ConstructIndex — [[RecdexPrepared.buildUserIndex]]):
+  * Construction (Algorithm 1, ConstructIndex — [[RecdexPrepared.buildUserIndexImpl]]):
   *  1. k-means the user vectors into C clusters (C=8 in the paper).
   *  2. Per cluster j, compute θ_bj = max_{u ∈ C_j} arccos(u·c_j / ‖u‖‖c_j‖),
   *     the worst user-centroid angular distortion.
@@ -30,9 +30,11 @@ import repro.core._
   *
   * RECDEX is a batch-only strategy (`batchOnly = true`): its index is built
   * over the query users, so per-user t-test sampling would mis-measure it
-  * (§4.1). RECOPT instead builds the user index once over the full
-  * population (construction cost C_I) and times the walk on a sample via
-  * [[UserIndexedMips]].
+  * (§4.1). It overrides [[PreparedMips.buildUserIndex]] with
+  * ConstructIndex; `queryBatch` is that build followed by a walk of every
+  * user. RECOPT builds the user index once over the population it
+  * estimates for (construction cost C_I) and times only the walk on the
+  * sample; serving reuses the same index.
   */
 final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096,
                    val kmeansSeed: Long = 42, val kmeansMaxIter: Int = 20)
@@ -45,7 +47,7 @@ final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096,
 
 final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
                            kmeansSeed: Long, kmeansMaxIter: Int)
-    extends PreparedMips with UserIndexedMips {
+    extends PreparedMips {
 
   private val itemNorms: Array[Double] = items.rowNorms
 
@@ -58,21 +60,7 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     queryBatch(Matrix.fromRows(Seq(user)), k)(0)
 
   override def queryBatch(users: Matrix, k: Int): Array[TopKResult] =
-    buildUserIndex(users).queryAll(k)
-
-  /** Lesion hooks (Fig. 8): run with/without the §5.4 blocked work sharing. */
-  def queryBatchImpl(users: Matrix, k: Int, shareBlocked: Boolean): Array[TopKResult] =
-    buildUserIndexImpl(users).queryImpl(null, k, shareBlocked, null)
-
-  /** Instrumented variant for the Fig. 8 lesion study: also returns the
-    * average number of index entries visited per user (w-bar in Eq. 4),
-    * counting both the blocked head and the walked tail. */
-  def queryBatchCounting(users: Matrix, k: Int,
-                         shareBlocked: Boolean): (Array[TopKResult], Double) = {
-    val visited = new Array[Long](users.rows)
-    val res = buildUserIndexImpl(users).queryImpl(null, k, shareBlocked, visited)
-    (res, visited.sum.toDouble / math.max(1, users.rows))
-  }
+    buildUserIndexImpl(users).queryAll(k)
 
   override def buildUserIndex(users: Matrix): UserIndex = buildUserIndexImpl(users)
 
@@ -153,7 +141,8 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
       blockSize: Int,
   ) extends UserIndex {
 
-    override def queryAll(k: Int): Array[TopKResult] =
+    /** Exact top-K for every indexed user, row-aligned with the build matrix. */
+    def queryAll(k: Int): Array[TopKResult] =
       queryImpl(null, k, shareBlocked = blockSize > 0, null)
 
     override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {

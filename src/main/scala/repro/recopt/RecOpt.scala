@@ -1,6 +1,6 @@
 package repro.recopt
 
-import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, TopKResult, UserIndex}
 import repro.stats.TTest
 
 /** Configuration for the RECOPT online optimizer (§4).
@@ -32,16 +32,15 @@ final case class StrategyEstimate(
 )
 
 /** Everything the estimation phase produced: the estimates, the decision,
-  * and — so the serve phase can reuse work — the prepared strategies and
-  * whatever sample results each strategy already computed (entries may be
-  * null where the t-test stopped early). */
+  * and — so the serve phase can reuse work — every strategy bound to the
+  * estimated population, plus whatever sample results each strategy already
+  * computed (row-aligned with the sample; entries may be null where the
+  * t-test stopped early). */
 final class EstimateOutcome(
     val estimates: Seq[StrategyEstimate],
     val chosen: String,
-    val prepared: Map[String, PreparedMips],
+    val userIndexes: Map[String, UserIndex],
     val sampleResults: Map[String, Array[TopKResult]],
-    val builtUserIndexes: Map[String, repro.core.UserIndex],
-    val mmSampleNanos: Long,
 ) {
   def chosenEstimate: StrategyEstimate = estimates.find(_.name == chosen).get
 }
@@ -64,10 +63,11 @@ final case class RecOptReport(
   * Pipeline: (1) build every candidate index in full (construction is cheap
   * relative to traversal — Fig. 2); (2) time blocked MM on a random user
   * sample big enough to exhibit cache-blocking behaviour (≥ 4x L2);
-  * (3) time each index on the sample — per-user with t-test early stopping
-  * for point-query indexes, whole-sample for batch-only ones; (4) extrapolate
-  * each strategy's total runtime, pick the minimum, serve the remaining
-  * users with the winner and reuse the winner's sampled results.
+  * (3) time each index on the sample — whole-sample for batch-only ones,
+  * per-user with t-test early stopping for point-query indexes; (4)
+  * extrapolate each strategy's total runtime, pick the minimum, serve the
+  * remaining users with the winner's user index and reuse the winner's
+  * sampled results.
   */
 object RecOpt {
 
@@ -83,106 +83,106 @@ object RecOpt {
   def minSampleForCache(f: Int, l2CacheBytes: Long): Int =
     math.max(1, math.ceil(4.0 * l2CacheBytes / (f.toLong * 8)).toInt)
 
-  /** Pick the user sample: `sampleFraction` of users, but never below the
-    * cache-occupancy floor. Returns sorted row indices. */
-  def sampleIndices(totalUsers: Int, f: Int, cfg: RecOptConfig): Array[Int] = {
+  /** The §4.1 sample size: `sampleFraction` of the users, but never below
+    * the cache-occupancy floor and never above the population. */
+  def sampleSize(totalUsers: Int, f: Int, cfg: RecOptConfig): Int = {
     val target = math.max(
       math.ceil(totalUsers * cfg.sampleFraction).toInt,
       math.min(totalUsers, minSampleForCache(f, cfg.l2CacheBytes)))
-    val sampleSize = math.min(totalUsers, math.max(1, target))
+    math.min(totalUsers, math.max(1, target))
+  }
+
+  /** Pick the user sample of [[sampleSize]] users. Returns sorted row
+    * indices. */
+  def sampleIndices(totalUsers: Int, f: Int, cfg: RecOptConfig): Array[Int] = {
     val rng = new scala.util.Random(cfg.seed)
-    rng.shuffle((0 until totalUsers).toVector).take(sampleSize).sorted.toArray
+    rng.shuffle((0 until totalUsers).toVector).take(sampleSize(totalUsers, f, cfg))
+      .sorted.toArray
+  }
+
+  private def timed[A](body: => A): (A, Long) = {
+    val t0 = System.nanoTime()
+    val a = body
+    (a, System.nanoTime() - t0)
   }
 
   /** Estimation phase: build every candidate, time it on the sample, decide.
     * `totalUsers` is the population the per-user costs extrapolate to (it
     * may exceed `sampleUsers.rows` when called from the Spark driver).
     *
-    * When `fullUsers`/`sampleIdx` are supplied (the local batch path),
-    * user-indexed strategies (RECDEX) build their user index over the FULL
-    * population once (counted as construction cost, as in §4.2's C_I) and
-    * only the sampled walks are extrapolated; the built index is returned so
-    * serving reuses it. */
+    * Every strategy is bound (`buildUserIndex`) to the population
+    * `fullUsers`, or to the sample alone when it is not given, and the
+    * sample is rows `sampleIdx` of that population. There are two timing
+    * paths:
+    *  - batch (MM and `batchOnly` strategies): build the user index, then
+    *    time one `querySubset` over the whole sample — per-user timing would
+    *    hide the cache effects batch strategies depend on (§4.1). The user
+    *    build is extrapolated per user: over the full population (the local
+    *    path) it is paid once, as §4.2's C_I; over the sample (the Spark
+    *    driver, where each partition builds its own index) it scales to
+    *    `totalUsers`.
+    *  - t-test (point-query indexes): time `query` user by user, stopping
+    *    once a one-sample t-test separates the mean from MM's per-user cost.
+    * The returned user indexes serve the users outside the sample. */
   def estimate(sampleUsers: Matrix, items: Matrix, k: Int,
                indexSolvers: Seq[MipsSolver], totalUsers: Int,
                cfg: RecOptConfig = RecOptConfig(),
                fullUsers: Option[Matrix] = None,
                sampleIdx: Option[Array[Int]] = None): EstimateOutcome = {
-    val sampleSize = sampleUsers.rows
-    val mm = new BruteForceMM()
+    require(fullUsers.isDefined == sampleIdx.isDefined,
+      "fullUsers and sampleIdx must be given together")
+    val population = fullUsers.getOrElse(sampleUsers)
+    val rows = sampleIdx.getOrElse(Array.range(0, sampleUsers.rows))
+    val sampleSize = rows.length
 
-    // --- time blocked MM on the sample ---
-    val mmPrepared = mm.prepare(items)
-    val mmStart = System.nanoTime()
-    val mmSampleResults = mmPrepared.queryBatch(sampleUsers, k)
-    val mmNanos = System.nanoTime() - mmStart
-    val mmPerUser = mmNanos.toDouble / sampleSize
-    val mmEstimate = StrategyEstimate("MM", 0L, mmPerUser, sampleSize,
-      mmPerUser * totalUsers)
+    def timeBatch(userIndex: UserIndex): (Array[TopKResult], Double) = {
+      val (res, nanos) = timed(userIndex.querySubset(rows, k))
+      (res, nanos.toDouble / sampleSize)
+    }
+    def estimateOf(name: String, buildNanos: Long, perUser: Double, usersTimed: Int) =
+      StrategyEstimate(name, buildNanos, perUser, usersTimed, buildNanos + perUser * totalUsers)
 
-    var prepared = Map("MM" -> (mmPrepared: PreparedMips))
-    var sampleRes = Map("MM" -> mmSampleResults)
-    var builtIdx = Map.empty[String, repro.core.UserIndex]
+    // MM is the t-test's reference; binding it to the population is free
+    val mmIndex = new BruteForceMM().prepare(items).buildUserIndex(population)
+    val (mmResults, mmPerUser) = timeBatch(mmIndex)
+    val mmEstimate = estimateOf("MM", 0L, mmPerUser, sampleSize)
+
+    var userIndexes = Map("MM" -> mmIndex)
+    var sampleRes = Map("MM" -> mmResults)
 
     val indexEstimates = indexSolvers.map { solver =>
-      val buildStart = System.nanoTime()
-      val prep = solver.prepare(items)
-      val buildNanos = System.nanoTime() - buildStart
-      prepared += solver.name -> prep
-
-      (prep, fullUsers, sampleIdx) match {
-        case (ui: repro.core.UserIndexedMips, Some(all), Some(sIdx)) =>
-          // user-indexed strategy: build ONCE over the full population
-          // (construction cost C_I), extrapolate only the sampled walk
-          val uStart = System.nanoTime()
-          val userIndex = ui.buildUserIndex(all)
-          val userBuildNanos = System.nanoTime() - uStart
-          builtIdx += solver.name -> userIndex
-          val qStart = System.nanoTime()
-          val res = userIndex.querySubset(sIdx, k)
-          val qNanos = System.nanoTime() - qStart
-          sampleRes += solver.name -> res
-          val perUser = qNanos.toDouble / sIdx.length
-          StrategyEstimate(solver.name, buildNanos + userBuildNanos, perUser,
-            sIdx.length, buildNanos + userBuildNanos + perUser * totalUsers)
-
-        case _ if prep.batchOnly =>
-          // batch the whole sample — per-user t-testing would hide the cache
-          // effects batch strategies depend on (§4.1)
-          val qStart = System.nanoTime()
-          val res = prep.queryBatch(sampleUsers, k)
-          val qNanos = System.nanoTime() - qStart
-          sampleRes += solver.name -> res
-          val perUser = qNanos.toDouble / sampleSize
-          StrategyEstimate(solver.name, buildNanos, perUser, sampleSize,
-            buildNanos + perUser * totalUsers)
-
-        case _ =>
-          // per-user timing with one-sample t-test against the MM mean
-          val res = new Array[TopKResult](sampleSize)
-          val times = new scala.collection.mutable.ArrayBuffer[Double](sampleSize)
-          var i = 0
-          var stopped = false
-          while (i < sampleSize && !stopped) {
-            val u = sampleUsers.row(i)
-            val qs = System.nanoTime()
-            res(i) = prep.query(u, i, k)
-            times += (System.nanoTime() - qs).toDouble
-            i += 1
-            if (i >= cfg.minTTestUsers && i < sampleSize) {
-              val p = TTest.oneSamplePValue(times.toIndexedSeq, mmPerUser)
-              if (p < cfg.tTestAlpha) stopped = true
-            }
+      val (prep, itemBuildNanos) = timed(solver.prepare(items))
+      if (prep.batchOnly) {
+        val (userIndex, userBuildNanos) = timed(prep.buildUserIndex(population))
+        val (res, perUser) = timeBatch(userIndex)
+        userIndexes += solver.name -> userIndex
+        sampleRes += solver.name -> res
+        estimateOf(solver.name, itemBuildNanos + userBuildNanos * totalUsers / population.rows,
+          perUser, sampleSize)
+      } else {
+        val res = new Array[TopKResult](sampleSize)
+        val times = new scala.collection.mutable.ArrayBuffer[Double](sampleSize)
+        var i = 0
+        var stopped = false
+        while (i < sampleSize && !stopped) {
+          val u = sampleUsers.row(i)
+          val qs = System.nanoTime()
+          res(i) = prep.query(u, i, k)
+          times += (System.nanoTime() - qs).toDouble
+          i += 1
+          if (i >= cfg.minTTestUsers && i < sampleSize) {
+            val p = TTest.oneSamplePValue(times.toIndexedSeq, mmPerUser)
+            if (p < cfg.tTestAlpha) stopped = true
           }
-          sampleRes += solver.name -> res
-          val perUser = times.sum / times.length
-          StrategyEstimate(solver.name, buildNanos, perUser, times.length,
-            buildNanos + perUser * totalUsers)
+        }
+        userIndexes += solver.name -> prep.buildUserIndex(population)
+        sampleRes += solver.name -> res
+        estimateOf(solver.name, itemBuildNanos, times.sum / times.length, times.length)
       }
     }
 
     val all = mmEstimate +: indexEstimates
-    new EstimateOutcome(all, decide(all).name, prepared, sampleRes, builtIdx, mmNanos)
+    new EstimateOutcome(all, decide(all).name, userIndexes, sampleRes)
   }
 
   /** Serve exact top-K for every user, choosing between blocked MM and the
@@ -209,19 +209,14 @@ object RecOpt {
     }
     val remainingIdx = (0 until n).filter(out(_) == null).toArray
     if (remainingIdx.nonEmpty) {
-      val remRes = est.builtUserIndexes.get(est.chosen) match {
-        case Some(userIndex) => userIndex.querySubset(remainingIdx, k)
-        case None => est.prepared(est.chosen).queryBatch(users.selectRows(remainingIdx), k)
-      }
+      val remRes = est.userIndexes(est.chosen).querySubset(remainingIdx, k)
       var j = 0
       while (j < remainingIdx.length) { out(remainingIdx(j)) = remRes(j); j += 1 }
     }
 
     val totalNanos = System.nanoTime() - t0
-    val wasted =
-      (if (est.chosen == "MM") 0L else est.mmSampleNanos) +
-        est.estimates.filter(e => e.name != "MM" && e.name != est.chosen)
-          .map(e => e.buildNanos + (e.perUserNanos * e.usersTimed).toLong).sum
+    val wasted = est.estimates.filter(_.name != est.chosen)
+      .map(e => e.buildNanos + (e.perUserNanos * e.usersTimed).toLong).sum
 
     (out, RecOptReport(est.chosen, est.estimates, sampleIdx.length, n, wasted, totalNanos))
   }

@@ -89,11 +89,12 @@ object SparkMips {
 
   /** Distributed serving with RECOPT choosing the strategy on the driver.
     *
-    * The driver samples `cfg.sampleFraction` of the users (at least the
-    * 4x-L2 floor), collects them, runs the local estimation phase (index
-    * builds + timed sample queries), then launches the distributed pass
-    * with the winning strategy. Returns the result DataFrame and the
-    * optimizer report.
+    * The driver draws a Bernoulli sample of about [[RecOpt.sampleSize]]
+    * users, collects it, runs the local estimation phase over the sample
+    * alone (index builds + timed sample queries; RECDEX's user build is
+    * extrapolated per user, as each partition pays its own), then launches
+    * the distributed pass with the winning strategy. Returns the result
+    * DataFrame and the optimizer report.
     */
   def topKAllWithRecOpt(spark: SparkSession, users: DataFrame, items: DataFrame,
                         k: Int, indexSolvers: Seq[MipsSolver],
@@ -104,9 +105,8 @@ object SparkMips {
     val totalUsers = users.count().toInt
 
     // --- driver-side sample + estimation ---
-    val floor = RecOpt.minSampleForCache(itemMatrix.cols, cfg.l2CacheBytes)
-    val fraction = math.min(1.0,
-      math.max(cfg.sampleFraction, floor.toDouble / math.max(1, totalUsers)))
+    val fraction =
+      RecOpt.sampleSize(totalUsers, itemMatrix.cols, cfg).toDouble / math.max(1, totalUsers)
     val sampleRows = users.select("features").sample(withReplacement = false, fraction, cfg.seed)
       .collect()
     val sampleUsers =

@@ -58,10 +58,13 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
       val (users, items) = ModelZoo.tiny(25, 40, 8, seed = 17)
       val prepared = solver.prepare(items)
       val expect = bruteForce(users, items, 4)
-      (0 until users.rows by 5).foreach { u =>
+      val rows = (0 until users.rows by 5).toArray
+      rows.foreach { u =>
         val got = prepared.query(users.row(u), u, 4)
         assertSame(Array(got), Array(expect(u)), tol, s"$label point u=$u")
       }
+      assertSame(prepared.buildUserIndex(users).querySubset(rows, 4), rows.map(expect), tol,
+        s"$label user index")
     }
 
   test("k larger than item count returns all items") {

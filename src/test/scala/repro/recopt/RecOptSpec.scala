@@ -88,6 +88,9 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
       assert(report.estimates.map(_.name).toSet == Set("MM", "LEMP", "RECDEX"))
       assert(report.sampleSize > 0 && report.sampleSize <= 300)
       assert(report.totalNanos > 0)
+      // waste is every losing strategy's build plus its timed sample queries
+      assert(report.wastedNanos == report.estimates.filter(_.name != report.chosen)
+        .map(e => e.buildNanos + (e.perUserNanos * e.usersTimed).toLong).sum)
     }
 
   test("serveAll with no indexes degenerates to MM and still serves exactly") {
@@ -111,7 +114,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val lemp = out.estimates.find(_.name == "LEMP").get
     assert(math.abs(lemp.estTotalNanos - (lemp.buildNanos + lemp.perUserNanos * 200)) <
       1e-6 * lemp.estTotalNanos + 1)
-    assert(out.prepared.contains("MM") && out.prepared.contains("LEMP"))
+    assert(out.userIndexes.contains("MM") && out.userIndexes.contains("LEMP"))
   }
 
   /** A synthetic point-query index whose per-user time is deterministic and
@@ -163,7 +166,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     // only the sampled walks are extrapolated; construction sits in buildNanos
     assert(rd.usersTimed == sampleIdx.length)
     assert(rd.buildNanos > 0)
-    assert(out.builtUserIndexes.contains("RECDEX"))
+    assert(out.userIndexes.contains("RECDEX"))
     // the sample results must be exact and row-aligned with sampleIdx
     val expect = SolverTestSupport.bruteForce(users, items, 3)
     val res = out.sampleResults("RECDEX")
