@@ -24,6 +24,25 @@ object KMeans {
     s
   }
 
+  /** Assignment step: `assign(i)` becomes the nearest centroid to row i
+    * (the lowest index wins exact ties). */
+  private def assignNearest(points: Matrix, centroids: Array[Array[Double]],
+                            assign: Array[Int]): Unit = {
+    var i = 0
+    while (i < points.rows) {
+      var best = 0
+      var bestD = sqDist(points, i, centroids(0))
+      var j = 1
+      while (j < centroids.length) {
+        val d = sqDist(points, i, centroids(j))
+        if (d < bestD) { bestD = d; best = j }
+        j += 1
+      }
+      assign(i) = best
+      i += 1
+    }
+  }
+
   /** Cluster the rows of `points` into `k` clusters. */
   def fit(points: Matrix, k: Int, seed: Long = 42, maxIter: Int = 25,
           tol: Double = 1e-6): KMeansResult = {
@@ -62,24 +81,11 @@ object KMeans {
     var iter = 0
     var moved = Double.MaxValue
     while (iter < maxIter && moved > tol) {
-      // assignment step
-      var i = 0
-      while (i < n) {
-        var best = 0
-        var bestD = sqDist(points, i, centroids(0))
-        var j = 1
-        while (j < kk) {
-          val d = sqDist(points, i, centroids(j))
-          if (d < bestD) { bestD = d; best = j }
-          j += 1
-        }
-        assign(i) = best
-        i += 1
-      }
+      assignNearest(points, centroids, assign)
       // update step
       val sums = Array.fill(kk)(new Array[Double](f))
       val counts = new Array[Int](kk)
-      i = 0
+      var i = 0
       while (i < n) {
         val a = assign(i); counts(a) += 1
         val s = sums(a); val off = i * f
@@ -113,19 +119,7 @@ object KMeans {
     }
 
     // final assignment against the last centroids
-    var i = 0
-    while (i < n) {
-      var best = 0
-      var bestD = sqDist(points, i, centroids(0))
-      var j = 1
-      while (j < kk) {
-        val d = sqDist(points, i, centroids(j))
-        if (d < bestD) { bestD = d; best = j }
-        j += 1
-      }
-      assign(i) = best
-      i += 1
-    }
+    assignNearest(points, centroids, assign)
 
     KMeansResult(Matrix.fromRows(centroids.toIndexedSeq), assign, iter)
   }

@@ -16,17 +16,6 @@ final class BruteForceMM(val userBlock: Int = 512) extends MipsSolver {
 }
 
 final class BruteForcePrepared(items: Matrix, userBlock: Int) extends PreparedMips {
-  override def batchOnly: Boolean = true
-
-  override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
-    // Single user degenerates to a matrix-vector product — exactly the slow
-    // path the paper warns about; provided for completeness/correctness.
-    val h = new TopKHeap(k)
-    var j = 0
-    while (j < items.rows) { h.offer(items.rowDot(j, user), j); j += 1 }
-    h.result()
-  }
-
   override def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
     val out = new Array[TopKResult](users.rows)
     var r0 = 0

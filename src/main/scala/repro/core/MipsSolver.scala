@@ -2,31 +2,17 @@ package repro.core
 
 /** A prepared (built) MIPS index or execution strategy over a fixed item set.
   *
-  * The two entrypoints mirror the paper's query settings:
-  *   - `query` serves one user (the point setting; what RECOPT times per-user
-  *     for its t-test early stop);
-  *   - `queryBatch` serves a block of users at once (the batch setting; the
-  *     blocked strategies — brute-force MM and RECDEX's shared head — only
-  *     reach full hardware efficiency here).
+  * `queryBatch` serves a block of users at once (the batch setting; the
+  * blocked strategies — brute-force MM and RECDEX's shared head — only reach
+  * full hardware efficiency here). Strategies that also answer one user at a
+  * time are [[PointMips]].
   *
   * All implementations are EXACT: `queryBatch(u, k)` must equal brute force
   * up to floating-point rotation error (tested in `ExactnessSpec`).
   */
 trait PreparedMips extends Serializable {
-  /** Exact top-K for a single user vector. */
-  def query(user: Array[Double], userId: Int, k: Int): TopKResult
-
   /** Exact top-K for every row of `users`; result i corresponds to row i. */
-  def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
-    val out = new Array[TopKResult](users.rows)
-    var r = 0
-    while (r < users.rows) { out(r) = query(users.row(r), r, k); r += 1 }
-    out
-  }
-
-  /** True if the strategy only pays off on batches (RECOPT then skips the
-    * per-user t-test and times the full sample, per §4.1). */
-  def batchOnly: Boolean = false
+  def queryBatch(users: Matrix, k: Int): Array[TopKResult]
 
   /** Binds this strategy to one fixed user matrix. By default that costs
     * nothing and each subset is served by `queryBatch` on the selected rows;
@@ -35,6 +21,21 @@ trait PreparedMips extends Serializable {
   def buildUserIndex(users: Matrix): UserIndex = new UserIndex {
     override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] =
       queryBatch(users.selectRows(rows), k)
+  }
+}
+
+/** A point-query strategy (LEMP, FEXIPRO): it answers one user at a time
+  * and serves a batch user by user. RECOPT times these per user with its
+  * t-test early stop (§4.1). */
+trait PointMips extends PreparedMips {
+  /** Exact top-K for a single user vector. */
+  def query(user: Array[Double], userId: Int, k: Int): TopKResult
+
+  override def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
+    val out = new Array[TopKResult](users.rows)
+    var r = 0
+    while (r < users.rows) { out(r) = query(users.row(r), r, k); r += 1 }
+    out
   }
 }
 

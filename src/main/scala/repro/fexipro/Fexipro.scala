@@ -1,6 +1,6 @@
 package repro.fexipro
 
-import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
+import repro.core.{Matrix, MipsSolver, PointMips, PreparedMips, TopKHeap, TopKResult}
 import repro.linalg.Svd
 
 /** FEXIPRO — the SIGMOD 2017 baseline (Li et al.), point-query oriented.
@@ -131,7 +131,7 @@ final class FexiproPrepared(
     svd: Svd.ThinSvd,
     shift: Array[Double], // non-null iff reduction enabled
     intMax: Int,
-) extends PreparedMips {
+) extends PointMips {
 
   override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
     val f = sorted.cols

@@ -1,29 +1,26 @@
 package repro.lemp
 
-import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
+import repro.core.{Matrix, MipsSolver, PointMips, PreparedMips, TopKHeap, TopKResult}
 
 /** LEMP-LI — the SIGMOD 2015 / TODS 2016 baseline (Teflioudi et al.).
   *
   * Reimplementation of the retrieval variant the paper benchmarks
   * ("LEMP-LI": length-based + incremental pruning):
   *
-  *  1. Items are sorted by L2 norm descending and partitioned into buckets
-  *     of similar norm; each bucket is sized to stay cache-resident (the
-  *     original sizes buckets to L3 — we use a fixed row count that keeps a
-  *     bucket's vectors + norms within a few hundred KB).
-  *  2. A query walks buckets in norm order. Once `||u|| * bucketMaxNorm`
-  *     cannot beat the current k-th best score, the remaining buckets are
-  *     pruned wholesale (length pruning — Cauchy–Schwarz).
-  *  3. Inside a bucket, each item is first length-pruned with its own norm,
-  *     then scored incrementally: exact partial inner product over a prefix
-  *     of coordinates plus a Cauchy–Schwarz bound from precomputed suffix
-  *     norms; when the bound falls below the heap threshold the item is
-  *     abandoned (incremental pruning).
+  *  1. Items are sorted by L2 norm descending into one contiguous matrix,
+  *     with suffix norms precomputed every `prefixStep` coordinates.
+  *  2. A query walks the items in norm order. Once `||u|| * ||i||` cannot
+  *     beat the current k-th best score, this item and every later one are
+  *     pruned (length pruning — Cauchy–Schwarz).
+  *  3. Every other item is scored incrementally: exact partial inner product
+  *     over a prefix of coordinates plus a Cauchy–Schwarz bound from the
+  *     suffix norms; when the bound falls below the heap threshold the item
+  *     is abandoned (incremental pruning).
   *
   * The index is exact: pruning only discards items whose upper bound is
   * strictly below the admission threshold.
   */
-final class LempIndex(val bucketSize: Int = 256, val prefixStep: Int = 8) extends MipsSolver {
+final class LempIndex(val prefixStep: Int = 8) extends MipsSolver {
   override def name: String = "LEMP"
 
   override def prepare(items: Matrix): PreparedMips = {
@@ -54,12 +51,7 @@ final class LempIndex(val bucketSize: Int = 256, val prefixStep: Int = 8) extend
       i += 1
     }
 
-    val nBuckets = (n + bucketSize - 1) / bucketSize
-    val bucketStart = Array.tabulate(nBuckets)(_ * bucketSize)
-    val bucketMaxNorm = Array.tabulate(nBuckets)(b => sortedNorms(bucketStart(b)))
-
-    new LempPrepared(sorted, sortedNorms, suffixNorms, checkpoints, order,
-      bucketStart, bucketMaxNorm, bucketSize, prefixStep)
+    new LempPrepared(sorted, sortedNorms, suffixNorms, checkpoints, order, prefixStep)
   }
 }
 
@@ -69,11 +61,8 @@ final class LempPrepared(
     suffixNorms: Array[Array[Double]],
     checkpoints: Array[Int],
     originalIds: Array[Int],
-    bucketStart: Array[Int],
-    bucketMaxNorm: Array[Double],
-    bucketSize: Int,
     prefixStep: Int,
-) extends PreparedMips {
+) extends PointMips {
 
   override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
     val f = sorted.cols
@@ -97,30 +86,18 @@ final class LempPrepared(
     }
 
     val h = new TopKHeap(k)
-    var b = 0
+    var i = 0
     var done = false
-    while (b < bucketStart.length && !done) {
-      // length pruning across buckets: best possible score in this (and all
-      // later) buckets is ||u|| * maxNorm(bucket); strict < keeps ties exact.
-      if (h.isFull && uNorm * bucketMaxNorm(b) < h.minScore) {
+    while (i < n && !done) {
+      // length pruning: items are norm-descending, so the first item whose
+      // best possible score ||u|| * ||i|| cannot enter the heap prunes every
+      // later item too; strict < keeps ties exact.
+      if (h.isFull && uNorm * sortedNorms(i) < h.minScore) {
         done = true
       } else {
-        val start = bucketStart(b)
-        val end = math.min(start + bucketSize, n)
-        var i = start
-        var bucketDone = false
-        while (i < end && !bucketDone) {
-          // per-item length pruning; items in a bucket are norm-descending,
-          // so the first prunable item prunes the bucket remainder.
-          if (h.isFull && uNorm * sortedNorms(i) < h.minScore) {
-            bucketDone = true
-          } else {
-            val score = incrementalDot(user, uSuffix, i, if (h.isFull) h.minScore else Double.NegativeInfinity)
-            if (!score.isNaN) h.offer(score, originalIds(i))
-            i += 1
-          }
-        }
-        b += 1
+        val score = incrementalDot(user, uSuffix, i, if (h.isFull) h.minScore else Double.NegativeInfinity)
+        if (!score.isNaN) h.offer(score, originalIds(i))
+        i += 1
       }
     }
     h.result()

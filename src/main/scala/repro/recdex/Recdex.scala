@@ -13,7 +13,7 @@ import repro.core._
   *     r*_ci = ‖i‖·cos(θ_ic − θ_b) if θ_b < θ_ic else ‖i‖, sort items by it
   *     descending, and materialize the sorted item vectors contiguously —
   *     the cluster's index list L_c (sequential walks are cache-friendly,
-  *     mirroring LEMP's bucket layout).
+  *     mirroring LEMP's norm-sorted layout).
   *
   * Querying (Algorithm 1, QueryIndex + §5.4 blocked head):
   *  - For each cluster, the first B items of L_c are scored for ALL the
@@ -28,7 +28,7 @@ import repro.core._
   * rank-irrelevant); the walk therefore compares CBound·‖u‖ against
   * min(heap).
   *
-  * RECDEX is a batch-only strategy (`batchOnly = true`): its index is built
+  * RECDEX is a batch strategy, not a [[PointMips]]: its index is built
   * over the query users, so per-user t-test sampling would mis-measure it
   * (§4.1). It overrides [[PreparedMips.buildUserIndex]] with
   * ConstructIndex; `queryBatch` is that build followed by a walk of every
@@ -50,14 +50,6 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     extends PreparedMips {
 
   private val itemNorms: Array[Double] = items.rowNorms
-
-  override def batchOnly: Boolean = true
-
-  /** Point queries degrade to a one-user cluster (θ_b = 0): an exact walk of
-    * the per-user sorted list, i.e. Koenigstein's bound without relaxation.
-    * Provided for interface completeness; RECOPT treats RECDEX as batchOnly. */
-  override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
-    queryBatch(Matrix.fromRows(Seq(user)), k)(0)
 
   override def queryBatch(users: Matrix, k: Int): Array[TopKResult] =
     buildUserIndexImpl(users).queryAll(k)

@@ -1,6 +1,6 @@
 package repro.recopt
 
-import repro.core.{BruteForceMM, Matrix, MipsSolver, TopKResult, UserIndex}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PointMips, TopKResult, UserIndex}
 import repro.stats.TTest
 
 /** Configuration for the RECOPT online optimizer (§4).
@@ -41,9 +41,7 @@ final class EstimateOutcome(
     val chosen: String,
     val userIndexes: Map[String, UserIndex],
     val sampleResults: Map[String, Array[TopKResult]],
-) {
-  def chosenEstimate: StrategyEstimate = estimates.find(_.name == chosen).get
-}
+)
 
 /** What RECOPT decided and what it cost to decide. */
 final case class RecOptReport(
@@ -63,8 +61,8 @@ final case class RecOptReport(
   * Pipeline: (1) build every candidate index in full (construction is cheap
   * relative to traversal — Fig. 2); (2) time blocked MM on a random user
   * sample big enough to exhibit cache-blocking behaviour (≥ 4x L2);
-  * (3) time each index on the sample — whole-sample for batch-only ones,
-  * per-user with t-test early stopping for point-query indexes; (4)
+  * (3) time each index on the sample — per-user with t-test early stopping
+  * for point-query indexes ([[PointMips]]), whole-sample for the rest; (4)
   * extrapolate each strategy's total runtime, pick the minimum, serve the
   * remaining users with the winner's user index and reuse the winner's
   * sampled results.
@@ -112,17 +110,17 @@ object RecOpt {
     *
     * Every strategy is bound (`buildUserIndex`) to the population
     * `fullUsers`, or to the sample alone when it is not given, and the
-    * sample is rows `sampleIdx` of that population. There are two timing
-    * paths:
-    *  - batch (MM and `batchOnly` strategies): build the user index, then
-    *    time one `querySubset` over the whole sample — per-user timing would
-    *    hide the cache effects batch strategies depend on (§4.1). The user
-    *    build is extrapolated per user: over the full population (the local
-    *    path) it is paid once, as §4.2's C_I; over the sample (the Spark
-    *    driver, where each partition builds its own index) it scales to
-    *    `totalUsers`.
-    *  - t-test (point-query indexes): time `query` user by user, stopping
-    *    once a one-sample t-test separates the mean from MM's per-user cost.
+    * sample is rows `sampleIdx` of that population. The strategy's type
+    * picks one of two timing paths:
+    *  - batch (MM and every strategy that is not a [[PointMips]]): build the
+    *    user index, then time one `querySubset` over the whole sample —
+    *    per-user timing would hide the cache effects batch strategies depend
+    *    on (§4.1). The user build is extrapolated per user: over the full
+    *    population (the local path) it is paid once, as §4.2's C_I; over
+    *    the sample (the Spark driver, where each partition builds its own
+    *    index) it scales to `totalUsers`.
+    *  - t-test ([[PointMips]]): time `query` user by user, stopping once a
+    *    one-sample t-test separates the mean from MM's per-user cost.
     * The returned user indexes serve the users outside the sample. */
   def estimate(sampleUsers: Matrix, items: Matrix, k: Int,
                indexSolvers: Seq[MipsSolver], totalUsers: Int,
@@ -152,32 +150,33 @@ object RecOpt {
 
     val indexEstimates = indexSolvers.map { solver =>
       val (prep, itemBuildNanos) = timed(solver.prepare(items))
-      if (prep.batchOnly) {
-        val (userIndex, userBuildNanos) = timed(prep.buildUserIndex(population))
-        val (res, perUser) = timeBatch(userIndex)
-        userIndexes += solver.name -> userIndex
-        sampleRes += solver.name -> res
-        estimateOf(solver.name, itemBuildNanos + userBuildNanos * totalUsers / population.rows,
-          perUser, sampleSize)
-      } else {
-        val res = new Array[TopKResult](sampleSize)
-        val times = new scala.collection.mutable.ArrayBuffer[Double](sampleSize)
-        var i = 0
-        var stopped = false
-        while (i < sampleSize && !stopped) {
-          val u = sampleUsers.row(i)
-          val qs = System.nanoTime()
-          res(i) = prep.query(u, i, k)
-          times += (System.nanoTime() - qs).toDouble
-          i += 1
-          if (i >= cfg.minTTestUsers && i < sampleSize) {
-            val p = TTest.oneSamplePValue(times.toIndexedSeq, mmPerUser)
-            if (p < cfg.tTestAlpha) stopped = true
+      prep match {
+        case point: PointMips =>
+          val res = new Array[TopKResult](sampleSize)
+          val times = new scala.collection.mutable.ArrayBuffer[Double](sampleSize)
+          var i = 0
+          var stopped = false
+          while (i < sampleSize && !stopped) {
+            val u = sampleUsers.row(i)
+            val qs = System.nanoTime()
+            res(i) = point.query(u, i, k)
+            times += (System.nanoTime() - qs).toDouble
+            i += 1
+            if (i >= cfg.minTTestUsers && i < sampleSize) {
+              val p = TTest.oneSamplePValue(times.toIndexedSeq, mmPerUser)
+              if (p < cfg.tTestAlpha) stopped = true
+            }
           }
-        }
-        userIndexes += solver.name -> prep.buildUserIndex(population)
-        sampleRes += solver.name -> res
-        estimateOf(solver.name, itemBuildNanos, times.sum / times.length, times.length)
+          userIndexes += solver.name -> point.buildUserIndex(population)
+          sampleRes += solver.name -> res
+          estimateOf(solver.name, itemBuildNanos, times.sum / times.length, times.length)
+        case _ =>
+          val (userIndex, userBuildNanos) = timed(prep.buildUserIndex(population))
+          val (res, perUser) = timeBatch(userIndex)
+          userIndexes += solver.name -> userIndex
+          sampleRes += solver.name -> res
+          estimateOf(solver.name, itemBuildNanos + userBuildNanos * totalUsers / population.rows,
+            perUser, sampleSize)
       }
     }
 

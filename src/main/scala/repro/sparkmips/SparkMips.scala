@@ -2,7 +2,7 @@ package repro.sparkmips
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
-import repro.core.{Matrix, MipsSolver, TopKResult}
+import repro.core.{Matrix, MipsSolver}
 import repro.recopt.{RecOpt, RecOptConfig, RecOptReport}
 
 /** Batch MIPS serving on Spark — the paper's kernels as a per-partition
@@ -125,17 +125,5 @@ object SparkMips {
     val report = RecOptReport(est.chosen, est.estimates, sampleUsers.rows, totalUsers,
       wastedNanos = estNanos, totalNanos = estNanos)
     (df, report)
-  }
-
-  /** Convenience for tests: local solver results as a DataFrame with the
-    * same schema/ordering as [[topKAll]]. */
-  def resultsToDf(spark: SparkSession, results: Array[TopKResult],
-                  userIds: Array[Long], itemIds: Array[Long]): DataFrame = {
-    val rows = results.iterator.zipWithIndex.flatMap { case (res, r) =>
-      res.ids.iterator.zipWithIndex.map { case (item, rank) =>
-        Row(userIds(r), itemIds(item), rank + 1, res.scores(rank))
-      }
-    }.toSeq
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), OutputSchema)
   }
 }

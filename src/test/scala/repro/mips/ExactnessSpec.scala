@@ -3,7 +3,7 @@ package repro.mips
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
-import repro.core.{BruteForceMM, Matrix, MipsSolver}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PointMips}
 import repro.fexipro.Fexipro
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
@@ -22,8 +22,10 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     // (label, solver, score tolerance) — SVD-rotating solvers accumulate
     // ~1e-12-scale rotation error, so they get a looser tolerance.
     ("MM",             new BruteForceMM(userBlock = 64), 1e-9),
-    ("LEMP",           new LempIndex(bucketSize = 32, prefixStep = 4), 1e-9),
-    ("LEMP-big-bucket", new LempIndex(bucketSize = 1024, prefixStep = 16), 1e-9),
+    ("LEMP",           new LempIndex(prefixStep = 4), 1e-9),
+    // coarser incremental-pruning checkpoints than the LEMP row; the label
+    // is kept so this row's test names stay stable
+    ("LEMP-big-bucket", new LempIndex(prefixStep = 16), 1e-9),
     ("FEXIPRO-SI",     new Fexipro(useReduction = false), 1e-7),
     ("FEXIPRO-SIR",    new Fexipro(useReduction = true), 1e-7),
     ("RECDEX",         new Recdex(numClusters = 4, blockSize = 16), 1e-9),
@@ -59,9 +61,12 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
       val prepared = solver.prepare(items)
       val expect = bruteForce(users, items, 4)
       val rows = (0 until users.rows by 5).toArray
-      rows.foreach { u =>
-        val got = prepared.query(users.row(u), u, 4)
-        assertSame(Array(got), Array(expect(u)), tol, s"$label point u=$u")
+      prepared match {
+        case point: PointMips => rows.foreach { u =>
+          val got = point.query(users.row(u), u, 4)
+          assertSame(Array(got), Array(expect(u)), tol, s"$label point u=$u")
+        }
+        case _ =>
       }
       assertSame(prepared.buildUserIndex(users).querySubset(rows, 4), rows.map(expect), tol,
         s"$label user index")
@@ -69,10 +74,13 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
 
   test("k larger than item count returns all items") {
     val (users, items) = ModelZoo.tiny(10, 6, 4, seed = 23)
+    val expect = bruteForce(users, items, 6)
     solvers.foreach { case (label, solver, tol) =>
-      val got = solver.prepare(items).queryBatch(users, 6)
-      val expect = bruteForce(users, items, 6)
-      assertSame(got, expect, tol, s"$label k=|I|")
+      val prepared = solver.prepare(items)
+      assertSame(prepared.queryBatch(users, 6), expect, tol, s"$label k=|I|")
+      val over = prepared.queryBatch(users, 7)
+      assert(over.forall(_.ids.length == 6), s"$label k=|I|+1 must return all 6 items")
+      assertSame(over, expect, tol, s"$label k=|I|+1")
     }
   }
 
@@ -108,7 +116,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
   }
 
   checkProp("property: LEMP exact on random shapes", minTests = 30) {
-    exactProp(new LempIndex(bucketSize = 16, prefixStep = 4), 1e-9)
+    exactProp(new LempIndex(prefixStep = 4), 1e-9)
   }
 
   checkProp("property: FEXIPRO-SI exact on random shapes", minTests = 25) {

@@ -3,7 +3,7 @@ package repro.recopt
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
-import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
+import repro.core.{Matrix, MipsSolver, PointMips, PreparedMips, TopKHeap, TopKResult}
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
 import repro.mips.SolverTestSupport
@@ -81,7 +81,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
       val (users, items) = ModelZoo.tiny(300, 150, 12, seed = 61, concentrated = conc)
       val expect = SolverTestSupport.bruteForce(users, items, 5)
       val (got, report) = RecOpt.serveAll(users, items, 5,
-        Seq(new LempIndex(bucketSize = 32), new Recdex(numClusters = 4, blockSize = 16)),
+        Seq(new LempIndex(), new Recdex(numClusters = 4, blockSize = 16)),
         RecOptConfig(sampleFraction = 0.05, l2CacheBytes = 1L << 12))
       SolverTestSupport.assertSame(got, expect, 1e-9, s"recopt conc=$conc")
       assert(Seq("MM", "LEMP", "RECDEX").contains(report.chosen))
@@ -106,7 +106,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
   test("estimate extrapolates per-user cost to the population") {
     val (users, items) = ModelZoo.tiny(200, 80, 8, seed = 71)
     val sample = users.sliceRows(0, 50)
-    val out = RecOpt.estimate(sample, items, 3, Seq(new LempIndex(bucketSize = 32)),
+    val out = RecOpt.estimate(sample, items, 3, Seq(new LempIndex()),
       totalUsers = 200, RecOptConfig())
     val mm = out.estimates.find(_.name == "MM").get
     // estTotal = perUser * totalUsers exactly, by construction
@@ -121,7 +121,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     * far from MM's — the t-test must stop well before the full sample. */
   private class SlowFakeSolver(delayNanos: Long) extends MipsSolver {
     override def name: String = "SLOWFAKE"
-    override def prepare(items: Matrix): PreparedMips = new PreparedMips {
+    override def prepare(items: Matrix): PreparedMips = new PointMips {
       override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
         val end = System.nanoTime() + delayNanos
         while (System.nanoTime() < end) {} // spin: deterministic-ish delay

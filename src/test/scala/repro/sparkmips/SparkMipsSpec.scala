@@ -55,7 +55,7 @@ class SparkMipsSpec extends SparkSpec {
 
   for ((label, solverF) <- Seq(
       "MM"     -> (() => new BruteForceMM(userBlock = 32)),
-      "LEMP"   -> (() => new LempIndex(bucketSize = 16)),
+      "LEMP"   -> (() => new LempIndex()),
       "RECDEX" -> (() => new Recdex(numClusters = 3, blockSize = 8))))
     test(s"topKAll($label) matches the DuckDB oracle on integer vectors") {
       val (u, i) = intModel(40, 25, 4, seed = label.hashCode)
@@ -112,7 +112,7 @@ class SparkMipsSpec extends SparkSpec {
     val usersDf = SparkMips.toDf(spark, u, "user_id", numPartitions = 4)
     val itemsDf = SparkMips.toDf(spark, i, "item_id", numPartitions = 1)
     val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 3,
-      Seq(new LempIndex(bucketSize = 32), new Recdex(3, 8)),
+      Seq(new LempIndex(), new Recdex(3, 8)),
       RecOptConfig(sampleFraction = 0.1, l2CacheBytes = 1L << 10))
     assert(Seq("MM", "LEMP", "RECDEX").contains(report.chosen))
     val got = df.collect().groupBy(_.getLong(0))
